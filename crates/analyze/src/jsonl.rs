@@ -144,13 +144,17 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-borrow as UTF-8: step back and take the full char.
-                    self.i -= 1;
-                    let s = std::str::from_utf8(&self.b[self.i..])
+                    // Take the whole run of unescaped bytes up to the next
+                    // quote or backslash in one step. Both delimiters are
+                    // ASCII, so the run ends on a char boundary of the
+                    // input line and is checked as UTF-8 only once.
+                    let start = self.i - 1;
+                    while !matches!(self.b.get(self.i), None | Some(b'"' | b'\\')) {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i])
                         .map_err(|_| "invalid UTF-8".to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    self.i += ch.len_utf8();
-                    out.push(ch);
+                    out.push_str(run);
                 }
             }
         }
@@ -426,6 +430,28 @@ mod tests {
         assert_eq!(pairs[3], ("d".into(), Scalar::Null));
         assert!(parse_flat_object("{\"a\":{}}").is_err(), "nested rejected");
         assert!(parse_flat_object("{\"a\":1} extra").is_err());
+    }
+
+    #[test]
+    fn multi_megabyte_string_values_parse_in_linear_time() {
+        // A checkpoint's node-state line is one string value of tens of
+        // megabytes at metro scale. Mix plain ASCII runs, multi-byte
+        // characters and escapes so every branch of the string reader
+        // runs over a hundred thousand times; a reader that re-validates
+        // the rest of the line per character would not finish.
+        let unit = "state=1.25 é→ \\\"q\\\" tab\\t ";
+        let want_unit = "state=1.25 é→ \"q\" tab\t ";
+        let reps = 4 << 20 >> 5; // ~4 MB of line
+        let line = format!("{{\"k\":\"{}\",\"n\":7}}", unit.repeat(reps));
+        assert!(line.len() > 3 << 20);
+        let pairs = parse_flat_object(&line).unwrap();
+        assert_eq!(pairs[0], ("k".into(), Scalar::Str(want_unit.repeat(reps))));
+        assert_eq!(pairs[1], ("n".into(), Scalar::Num(7.0)));
+        // Cut inside the ASCII tail, before the closing quote.
+        assert!(
+            parse_flat_object(&line[..line.len() - 10]).is_err(),
+            "unterminated"
+        );
     }
 
     #[test]

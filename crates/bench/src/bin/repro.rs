@@ -527,7 +527,7 @@ fn main() -> ExitCode {
     if let Some(scene_id) = &args.scale {
         match loaded_scenes.iter().find(|s| s.id == *scene_id) {
             Some(scene) => {
-                let (record, arenas) = scale_scene(scene, args.seed);
+                let (record, split) = scale_scene(scene, args.seed);
                 println!(
                     "[scale: {} — {} sessions / {} nodes, {} events in {:.2}s ({:.0} events/s), {} drops, peak queue {}]",
                     record.scene,
@@ -550,13 +550,14 @@ fn main() -> ExitCode {
                     }
                 };
                 println!(
-                    "[scale: {}, arenas {:.1} MB — {:.0} bytes/session, {:.0} sessions/GB]",
+                    "[scale: {}, arenas {:.1} MB, calendar {:.1} MB — {:.0} bytes/session, {:.0} sessions/GB]",
                     rss,
                     record.arena_bytes as f64 / 1e6,
+                    split.calendar_bytes as f64 / 1e6,
                     record.bytes_per_session(),
                     record.sessions_per_gb()
                 );
-                for a in &arenas {
+                for a in &split.arenas {
                     println!(
                         "   [arena {}: {} nodes, {:.1} MB]",
                         a.type_name,

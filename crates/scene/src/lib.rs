@@ -42,5 +42,5 @@ pub use model::{
 };
 pub use run::{
     analysis_targets, load_scene_dir, load_scene_file, parse_scene, register_scene, run_scene,
-    scale_scene, shard_scale_scene,
+    scale_scene, shard_scale_scene, ScaleBreakdown,
 };

@@ -40,10 +40,20 @@ pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
     result
 }
 
+/// Where a scale probe's engine-owned memory sits after the run, for
+/// human-readable reporting beside the [`ScaleRecord`].
+pub struct ScaleBreakdown {
+    /// Per-arena node accounting, in first-registration order.
+    pub arenas: Vec<phantom_sim::ArenaStats>,
+    /// Heap held by the event calendar
+    /// ([`phantom_sim::Engine::calendar_heap_bytes`]).
+    pub calendar_bytes: u64,
+}
+
 /// Build and run `scene` once as a *scale probe*: measure resident-set
 /// growth across build + run, the engine's own per-node accounting, and
 /// run throughput. Returns the `phantom-bench/4` scale record plus the
-/// per-arena breakdown (for human-readable reporting).
+/// per-arena and calendar breakdown (for human-readable reporting).
 ///
 /// RSS comes from [`phantom_sim::telemetry::rss_bytes`] (the same
 /// reader the heartbeat uses); when `/proc/self/status` is unreadable
@@ -54,7 +64,7 @@ pub fn run_scene(scene: &Scene, seed: u64) -> ExperimentResult {
 /// The RSS delta is a whole-process measurement — run this on a quiet
 /// process (the `repro --scale` probe runs after the sweep, serially)
 /// or the number includes unrelated allocations.
-pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::ArenaStats>) {
+pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, ScaleBreakdown) {
     let rss0 = phantom_sim::telemetry::rss_bytes();
     let c = compile(scene, seed);
     let mut engine = c.engine;
@@ -66,12 +76,12 @@ pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::A
     let events = phantom_sim::thread_events_dispatched() - events_before;
     let counters = marker.finish();
     let rss1 = phantom_sim::telemetry::rss_bytes();
-    let stats = engine.arena_stats();
+    let arenas = engine.arena_stats();
     let record = ScaleRecord {
         scene: scene.id.clone(),
         seed,
         sessions: c.net.sessions.len() as u64,
-        nodes: stats.iter().map(|s| s.nodes as u64).sum(),
+        nodes: arenas.iter().map(|s| s.nodes as u64).sum(),
         events,
         wall_secs,
         rss_delta_bytes: match (rss0, rss1) {
@@ -82,7 +92,11 @@ pub fn scale_scene(scene: &Scene, seed: u64) -> (ScaleRecord, Vec<phantom_sim::A
         drops: counters.drops,
         queue_peak: counters.queue_peak,
     };
-    (record, stats)
+    let breakdown = ScaleBreakdown {
+        arenas,
+        calendar_bytes: engine.calendar_heap_bytes() as u64,
+    };
+    (record, breakdown)
 }
 
 /// Build and run `scene` once at a fixed `--shards` count, measuring

@@ -81,8 +81,8 @@ fn parking_lot_expands_to_the_declared_shape() {
 #[test]
 fn generated_scenes_are_deterministic_per_seed() {
     let scene = parse_scene(&fan_in("fi-det", 2, 8)).unwrap();
-    let (a, arenas_a) = scale_scene(&scene, 1996);
-    let (b, arenas_b) = scale_scene(&scene, 1996);
+    let (a, split_a) = scale_scene(&scene, 1996);
+    let (b, split_b) = scale_scene(&scene, 1996);
     // Same seed: identical event stream and telemetry, bit for bit.
     assert_eq!(a.events, b.events);
     assert_eq!(a.sessions, b.sessions);
@@ -90,9 +90,22 @@ fn generated_scenes_are_deterministic_per_seed() {
     assert_eq!(a.drops, b.drops);
     assert_eq!(a.queue_peak, b.queue_peak);
     assert!(a.events > 0, "the generated scene must actually run");
-    let counts_a: Vec<_> = arenas_a.iter().map(|s| (s.type_name, s.nodes)).collect();
-    let counts_b: Vec<_> = arenas_b.iter().map(|s| (s.type_name, s.nodes)).collect();
+    let counts_a: Vec<_> = split_a
+        .arenas
+        .iter()
+        .map(|s| (s.type_name, s.nodes))
+        .collect();
+    let counts_b: Vec<_> = split_b
+        .arenas
+        .iter()
+        .map(|s| (s.type_name, s.nodes))
+        .collect();
     assert_eq!(counts_a, counts_b);
+    assert_eq!(split_a.calendar_bytes, split_b.calendar_bytes);
+    assert!(
+        split_a.calendar_bytes > 0,
+        "the calendar's bucket table is heap"
+    );
 
     // A different master seed keeps the topology but may reshuffle the
     // event interleaving; the *shape* stays fixed.

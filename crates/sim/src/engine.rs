@@ -551,6 +551,13 @@ impl<M: 'static> Engine<M> {
             + self.rngs.capacity() * size_of::<SmallRng>()
     }
 
+    /// Heap bytes held by the event calendar (see
+    /// [`EventQueue::heap_bytes`]): capacity, not occupancy, so a scale
+    /// run can tell pending events from buffers the calendar kept.
+    pub fn calendar_heap_bytes(&self) -> usize {
+        self.queue.heap_bytes()
+    }
+
     /// Attach an observer called for every delivered event. Replaces any
     /// previously attached hook. Tracing does not change the simulation —
     /// only the wall-clock cost of running it.

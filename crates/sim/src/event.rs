@@ -25,6 +25,16 @@
 //! spends its time. Only far-future events pay for indirection: their
 //! payloads wait in a small slab of message slots (with an intrusive free
 //! list) while 24-byte `(time, seq, slot)` keys sit in the overflow heap.
+//!
+//! Retained memory follows the pending set, not the history of each
+//! slot. A drained bucket keeps its buffer only while its capacity is at
+//! most [`BUCKET_RETAIN_CAP`] entries — room for the few cells an
+//! ordinary slice holds, so those buckets never regrow; a bucket that a
+//! burst of lockstep timers swelled past it is freed as it drains. The
+//! ring's idle buffers therefore never exceed
+//! `WHEEL_SLOTS × BUCKET_RETAIN_CAP` entries (the active run and the far
+//! slab are single buffers that keep their own peak), and
+//! [`EventQueue::heap_bytes`] reports what the calendar holds.
 
 use crate::engine::NodeId;
 use crate::profile::CalendarStats;
@@ -51,6 +61,23 @@ pub const SLICE_NS: u64 = 1 << SLICE_SHIFT;
 /// near-future horizon — comfortably past every cell time, measurement
 /// interval and propagation delay in the paper's topologies.
 pub const WHEEL_SLOTS: usize = 4096;
+
+/// Largest capacity, in entries, a wheel bucket keeps after it is
+/// drained into the active run; a bucket that grew past it hands its
+/// buffer back to the allocator instead.
+///
+/// Without a bound every bucket keeps the peak it ever held, so the
+/// ring's retained memory follows the history of all 4096 slots rather
+/// than the events pending now: at metro scale, tens of thousands of
+/// pacing timers that beat in step carry a burst of up to 32,768
+/// entries around the ring and leave ~600 MB of idle capacity behind.
+/// 64 entries is past what a slice holds on the paper's topologies (an
+/// OC-3 port sends about three cells per 8192-ns slice; across the
+/// 31-run `repro all` catalog 1,612 of 21.4M bucket drains exceed it),
+/// so ordinary buckets never regrow, and it caps what the ring can keep
+/// at `WHEEL_SLOTS × 64` entries (~19 MB at 72-byte ATM entries). Only
+/// burst buckets pay a fresh allocation the next time they fill.
+pub const BUCKET_RETAIN_CAP: usize = 64;
 
 const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
@@ -193,6 +220,10 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
+    /// Bytes of one near-future entry held inline in the active run or a
+    /// wheel bucket: ordering pair, destination and payload.
+    pub const ENTRY_BYTES: usize = size_of::<Entry<M>>();
+
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -364,11 +395,18 @@ impl<M> EventQueue<M> {
         }
         let t2 = prof_on.then(Instant::now);
         // Drain the cursor's bucket and restore exact (time, seq) order
-        // with one small sort — the only per-slice ordering work.
+        // with one small sort — the only per-slice ordering work. A
+        // bucket past `BUCKET_RETAIN_CAP` is moved out whole, freeing
+        // its buffer; a small one is drained in place and stays warm.
         let idx = (self.cursor & SLOT_MASK) as usize;
         if self.occupied[idx >> 6] & (1u64 << (idx & 63)) != 0 {
             self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-            self.active.extend(self.wheel[idx].drain(..));
+            let bucket = &mut self.wheel[idx];
+            if bucket.capacity() > BUCKET_RETAIN_CAP {
+                self.active.extend(std::mem::take(bucket));
+            } else {
+                self.active.extend(bucket.drain(..));
+            }
         }
         self.active
             .make_contiguous()
@@ -479,6 +517,18 @@ impl<M> EventQueue<M> {
             return min;
         }
         self.overflow.peek().map(|k| k.time)
+    }
+
+    /// Heap bytes the calendar holds: the capacity (not just the
+    /// occupancy) of the active run, the wheel's bucket table and every
+    /// bucket, the far slab and the overflow heap. Heap owned by the
+    /// message payloads themselves is not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let buckets: usize = self.wheel.iter().map(Vec::capacity).sum();
+        (self.active.capacity() + buckets) * Self::ENTRY_BYTES
+            + self.wheel.capacity() * size_of::<Vec<Entry<M>>>()
+            + self.far_slots.capacity() * size_of::<Slot<M>>()
+            + self.overflow.capacity() * size_of::<HeapKey>()
     }
 
     /// Number of pending events.
@@ -703,6 +753,59 @@ mod tests {
         );
         let tail: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.msg).collect();
         assert_eq!(tail, (1000 - WINDOW..1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn burst_lapping_the_ring_retains_no_bucket_capacity() {
+        // Lockstep timers: a burst of BURST same-slice events that, each
+        // beat, re-arm one slice later, so the burst visits every wheel
+        // slot in turn. Retained memory must follow the pending burst,
+        // not every bucket's peak — on a calendar that keeps drained
+        // buffers, the ring would end up holding WHEEL_SLOTS × BURST
+        // entries.
+        const BURST: usize = 3000;
+        let mut q = EventQueue::new();
+        for i in 0..BURST {
+            q.push(SimTime(SLICE_NS), NodeId(i), ());
+        }
+        let table = WHEEL_SLOTS * size_of::<Vec<Entry<()>>>();
+        let mut peak = q.len();
+        for beat in 2..(WHEEL_SLOTS as u64 + 4) {
+            for _ in 0..BURST {
+                let e = q.pop().expect("the burst is pending");
+                q.push(SimTime(beat * SLICE_NS), e.dst, ());
+                peak = peak.max(q.len());
+            }
+            let held = q.heap_bytes();
+            let bound = table + 4 * peak * EventQueue::<()>::ENTRY_BYTES;
+            assert!(
+                held <= bound,
+                "beat {beat}: calendar holds {held} B for a pending peak of \
+                 {peak} events (bound {bound} B)"
+            );
+        }
+        assert_eq!(q.len(), BURST);
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_tier() {
+        let mut q = EventQueue::new();
+        let empty = q.heap_bytes();
+        assert_eq!(
+            empty,
+            WHEEL_SLOTS * size_of::<Vec<Entry<u64>>>(),
+            "an empty calendar holds only its bucket table"
+        );
+        let horizon = SLICE_NS * WHEEL_SLOTS as u64;
+        q.push(SimTime(SLICE_NS * 3), NodeId(0), 1u64); // wheel bucket
+        q.push(SimTime(horizon * 2), NodeId(0), 2u64); // far slab + overflow
+        let full = q.heap_bytes();
+        assert!(full >= empty + EventQueue::<u64>::ENTRY_BYTES + size_of::<HeapKey>());
+        assert_eq!(q.pop().unwrap().msg, 1);
+        assert!(
+            q.heap_bytes() >= empty + EventQueue::<u64>::ENTRY_BYTES,
+            "active run counted"
+        );
     }
 
     #[test]

@@ -171,8 +171,12 @@ impl KvWriter {
         self.prefix.truncate(saved);
     }
 
-    /// Finish, yielding the token string.
-    pub fn finish(self) -> String {
+    /// Finish, yielding the token string shrunk to fit: a snapshot
+    /// holds one of these per node for as long as the checkpoint is
+    /// being rendered, and the doubling growth slack would otherwise
+    /// ride along with every one of them.
+    pub fn finish(mut self) -> String {
+        self.out.shrink_to_fit();
         self.out
     }
 }
@@ -405,6 +409,7 @@ mod tests {
         });
         let text = w.finish();
         assert!(!text.contains('\n'));
+        assert_eq!(text.capacity(), text.len(), "finish hands back no slack");
 
         let mut r = KvReader::parse(&text).unwrap();
         assert_eq!(r.u64("count").unwrap(), 42);

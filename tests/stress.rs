@@ -146,3 +146,61 @@ fn kitchen_sink_is_deterministic() {
     assert_eq!(fingerprint(42), fingerprint(42));
     assert_ne!(fingerprint(42), fingerprint(43));
 }
+
+/// A generated metro-shaped scene: 15 leaves × 100 sessions whose ACR
+/// pacing timers beat in step, so a burst of ~1,500 same-slice events
+/// laps the timer wheel.
+const CALENDAR_FAN_IN: &str = r#"{
+  "schema": "phantom-scene/1",
+  "id": "calendar-fan-in",
+  "describe": "fan-in whose lockstep pacing timers lap the timer wheel",
+  "algorithm": "phantom",
+  "duration_ms": 120,
+  "generate": {
+    "kind": "fan_in",
+    "seed": 7,
+    "leaves": 15,
+    "sessions_per_leaf": 100,
+    "leaf_mbps": 155.0,
+    "root_mbps": 622.0,
+    "prop_us": 10.0,
+    "start_spread_ms": 5.0,
+    "rate_sample_ms": 25.0,
+    "acr_stride": 64,
+    "icr_mbps": 0.005
+  },
+  "analysis": { "n_sessions": 1500 }
+}"#;
+
+/// The calendar's heap follows the events pending, not the peak every
+/// wheel slot ever held. Sampled every 250 µs of simulated time, the
+/// heap must stay within 16× the pending peak's entry bytes. That
+/// leaves room for the warm small buckets a drained slot may keep (up
+/// to `BUCKET_RETAIN_CAP` entries each; about 13× the pending peak
+/// here, with ~1,200 of them warm at once). A calendar that keeps
+/// every bucket's capacity ends this run holding ~320×.
+#[test]
+fn calendar_memory_follows_pending_events() {
+    use phantom_repro::atm::AtmMsg;
+    use phantom_repro::scene::{compile, parse_scene};
+    use phantom_repro::sim::event::EventQueue;
+
+    let scene = parse_scene(CALENDAR_FAN_IN).expect("scene parses");
+    let c = compile(&scene, 1996);
+    let mut engine = c.engine;
+    let entry = EventQueue::<AtmMsg>::ENTRY_BYTES;
+    let mut peak = engine.pending_events();
+    let mut t = SimTime::ZERO;
+    while t < c.until {
+        t += SimDuration::from_micros(250);
+        engine.run_until(t);
+        peak = peak.max(engine.pending_events());
+        let held = engine.calendar_heap_bytes();
+        assert!(
+            held <= 16 * peak * entry,
+            "at {t} the calendar holds {held} B for a pending peak of {peak} \
+             events × {entry} B"
+        );
+    }
+    assert!(engine.events_processed() > 100_000, "the scene must run");
+}
